@@ -1,20 +1,21 @@
 # Test and benchmark entry points.  `make test` is the CI gate: byte
 # compilation, tier-1 tests, plus smoke runs of the packed-merge,
-# batched-query, cluster-scaling, ingestion, batched-group-solve, and
-# tiered-storage benchmarks, which fail on any packed-vs-loop
-# divergence, broken scan sharing, cluster answers that are not
-# bit-exact across topologies and failovers, non-idempotent batch
-# replay, a columnar ingest speedup below 5x, a batched group solve
-# below 3x at 1024 cells (or with decisions that diverge from the
-# scalar path), a tiered store whose compaction is not bit-exact /
-# whose cold tier misses the 4x disk reduction or the cold-latency
-# ceiling, a telemetry overhead gate (disabled-mode guard cost <= 3%,
-# enabled-mode tracing + metrics <= 10% of query latency), a
-# multi-query-optimizer gate (>=3x on a Zipf-skewed repeated workload
-# with interleaved flushes, payloads bit-identical to cold execution),
-# and a workload-harness smoke (cube + cluster, sqlite exact oracle,
-# optimizer enabled) that fails on any Eq. 1 rank-error contract
-# violation.
+# batched-query, cluster-scaling, ingestion, batched-group-solve,
+# Figure 14 sliding-window, and tiered-storage benchmarks, which fail on
+# any packed-vs-loop divergence, broken scan sharing, cluster answers
+# that are not bit-exact across topologies and failovers,
+# non-idempotent batch replay, a columnar ingest speedup below 5x, a
+# batched group solve below 3x at 1024 cells (or with decisions that
+# diverge from the scalar cascade), a turnstile window scan that is
+# not 2x faster than re-merging every window, a tiered store whose
+# compaction is not bit-exact / whose cold tier misses the 4x disk
+# reduction or the cold-latency ceiling, a telemetry overhead gate
+# (disabled-mode guard cost <= 3%, enabled-mode tracing + metrics <= 10%
+# of query latency), a multi-query-optimizer gate (>=3x on a
+# Zipf-skewed repeated workload with interleaved flushes, payloads
+# bit-identical to cold execution), and a workload-harness smoke (cube
+# + cluster, sqlite exact oracle, optimizer enabled) that fails on any
+# Eq. 1 rank-error contract violation.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -44,6 +45,7 @@ test:
 	$(PYTHON) benchmarks/bench_cluster_scaling.py --quick
 	$(PYTHON) benchmarks/bench_ingest.py --quick
 	$(PYTHON) benchmarks/bench_group_solve.py --quick
+	$(PYTHON) -m pytest -q benchmarks/bench_fig14_sliding_window.py
 	$(PYTHON) benchmarks/bench_tiered.py --quick
 	$(PYTHON) benchmarks/bench_telemetry.py --quick
 	$(PYTHON) benchmarks/bench_optimizer.py --quick
@@ -79,5 +81,7 @@ bench-optimizer:
 bench-harness:
 	$(PYTHON) examples/harness_experiment.py
 
+# pytest collects only test_*.py on its own, so the figure/table
+# benches are named explicitly.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	$(PYTHON) -m pytest -q benchmarks/bench_fig*.py benchmarks/bench_table*.py

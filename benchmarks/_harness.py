@@ -1,19 +1,22 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
-Every file here regenerates one table or figure from the paper (see the
-per-experiment index in DESIGN.md).  Conventions:
+Every ``bench_fig*.py``/``bench_table*.py`` file regenerates one figure
+or table from the paper.  Conventions:
 
-* Each pytest function uses the ``benchmark`` fixture, so the whole suite
-  runs under ``pytest benchmarks/ --benchmark-only``.  Timing-critical
-  kernels are measured by pytest-benchmark; table-style experiments wrap a
-  single run and *print* the paper-style rows (pass ``-s`` to see them
-  live; they also print in the captured-output section).
+* Each pytest function uses the ``benchmark`` fixture (pytest-benchmark).
+  Timing-critical kernels are measured by pytest-benchmark; table-style
+  experiments wrap a single run and *print* the paper-style rows (pass
+  ``-s`` to see them live; they also print in the captured-output
+  section) and assert the paper's relative claims.
+* pytest collects only ``test_*.py`` files on its own, so run these by
+  naming them: ``pytest benchmarks/bench_fig14_sliding_window.py``, or
+  ``make bench`` for all of them.
 * Dataset sizes are laptop-scale by default and multiply by the
   ``REPRO_BENCH_SCALE`` environment variable (e.g. ``=10`` for longer,
   closer-to-paper runs).
 * Absolute times are pure-Python/numpy and therefore ~100x the paper's
   Java numbers; the *relative* orderings and crossovers are the
-  reproduction targets (EXPERIMENTS.md records both).
+  reproduction targets.
 """
 
 from __future__ import annotations

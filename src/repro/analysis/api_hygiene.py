@@ -1,15 +1,9 @@
-"""API hygiene: deprecated keywords and the error taxonomy.
+"""API hygiene: the error taxonomy.
 
-* **API001** — an internal call site still passing a deprecated keyword
-  (``phi=`` → ``q=``).  The compatibility shims themselves keep
-  accepting the old spelling for external callers; the *funnel* helpers
-  that implement the deprecation (``normalize_q``) are the only callees
-  allowed to receive it.  Definition sites are never flagged — removing
-  the parameter would break the public surface.
-* **API002** — a public entry point raising a bare builtin exception
-  (``raise ValueError(...)``) inside a module covered by the
-  ``core/errors.py`` taxonomy.  Callers dispatch on :class:`ReproError`
-  subclasses at system boundaries; a bare builtin escapes that net.
+**API002** — a public entry point raising a bare builtin exception
+(``raise ValueError(...)``) inside a module covered by the
+``core/errors.py`` taxonomy.  Callers dispatch on :class:`ReproError`
+subclasses at system boundaries; a bare builtin escapes that net.
 """
 
 from __future__ import annotations
@@ -19,51 +13,24 @@ from typing import Iterator, Optional
 
 from .core import Checker, Finding, ModuleContext, RuleSpec
 
-DEPRECATED_KWARG = "API001"
 BARE_ERROR = "API002"
 
 
-def _callee_name(func: ast.expr) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 class ApiHygieneChecker(Checker):
-    """API001/API002 over the configured module patterns."""
+    """API002 over the configured module patterns."""
 
     rules = (
-        RuleSpec(DEPRECATED_KWARG,
-                 "internal call site passes a deprecated keyword"),
         RuleSpec(BARE_ERROR,
                  "public entry point raises a bare builtin exception "
                  "instead of the core.errors taxonomy"),
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        taxonomy = ctx.matches(self.config.error_taxonomy_modules)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
-            elif taxonomy and isinstance(node, ast.Raise):
-                yield from self._check_raise(ctx, node)
-
-    def _check_call(self, ctx: ModuleContext,
-                    node: ast.Call) -> Iterator[Finding]:
-        callee = _callee_name(node.func)
-        if callee in self.config.deprecated_kwarg_funnels:
+        if not ctx.matches(self.config.error_taxonomy_modules):
             return
-        for kw in node.keywords:
-            if kw.arg in self.config.deprecated_kwargs:
-                replacement = self.config.deprecated_kwargs[kw.arg]
-                target = f" to '{callee}'" if callee else ""
-                yield ctx.finding(
-                    node, DEPRECATED_KWARG,
-                    f"deprecated keyword '{kw.arg}='{target}; pass "
-                    f"'{replacement}=' (the shim exists for external "
-                    "callers only)")
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Raise):
+                yield from self._check_raise(ctx, node)
 
     def _check_raise(self, ctx: ModuleContext,
                      node: ast.Raise) -> Iterator[Finding]:

@@ -54,12 +54,6 @@ class AnalysisConfig:
         "estimate", "weight")
     #: Modules exempt from the telemetry-guard rules (the plane itself).
     telemetry_exempt_modules: Tuple[str, ...] = ("repro/telemetry/",)
-    #: Deprecated call-site keyword -> its canonical replacement.
-    deprecated_kwargs: Mapping[str, str] = field(
-        default_factory=lambda: {"phi": "q"})
-    #: Callees allowed to receive a deprecated keyword (the funnel that
-    #: implements the deprecation itself).
-    deprecated_kwarg_funnels: Tuple[str, ...] = ("normalize_q",)
     #: Modules whose public surface must raise the core.errors taxonomy.
     error_taxonomy_modules: Tuple[str, ...] = ()
     #: Builtin exception names the taxonomy rule rejects.

@@ -25,7 +25,6 @@ from ..core.errors import QueryError
 from ..core.quantile import QuantileEstimator, safe_estimate_quantiles
 from ..core.sketch import ColumnarMoments, MomentsSketch
 from ..core.solver import SolverConfig
-from ..druid.engine import _quantile_bracket
 from ..summaries.moments_summary import MomentsSummary
 from ..telemetry import TELEMETRY
 from .backends import (Backend, GroupRollupResult, RollupResult, as_backend,
@@ -64,13 +63,12 @@ class QueryService:
     or later with :meth:`register`.  The first registered backend is the
     default; ``spec.backend`` selects another by name.
 
-    ``batched`` (default on) routes every multi-group estimation phase —
-    ``group_by`` solves, ``top_n`` bracket pruning and scoring,
-    ``threshold_count`` cascades — through the batched max-entropy layer
+    Every multi-group estimation phase — ``group_by`` solves, ``top_n``
+    bracket pruning and scoring, ``threshold_count`` cascades — runs
+    through the batched max-entropy layer
     (:mod:`repro.core.batch_solver`): one stacked Newton solve for all
-    surviving groups instead of one solve per group.  Pass
-    ``batched=False`` to A/B the scalar per-group path; the response's
-    ``timings.solve_route``/``solve_calls`` report which path ran.
+    surviving moments-backed groups; the response's
+    ``timings.solve_route``/``solve_calls`` report what ran.
 
     ``optimizer`` (opt-in) attaches a
     :class:`~repro.optimizer.Optimizer`: scans and solved responses are
@@ -81,9 +79,8 @@ class QueryService:
     """
 
     def __init__(self, *args, config: SolverConfig | None = None,
-                 batched: bool = True, optimizer=None, **named):
+                 optimizer=None, **named):
         self.config = config or SolverConfig()
-        self.batched = bool(batched)
         self.optimizer = optimizer
         self._backends: dict[str, Backend] = {}
         self._default: str | None = None
@@ -215,7 +212,7 @@ class QueryService:
             # The response tier keys on everything that shapes the
             # payload: the spec's solve inputs plus the service's own
             # estimation knobs.
-            solve_sig = solve_signature(spec) + (self.batched, self.config)
+            solve_sig = solve_signature(spec) + (self.config,)
             start = time.perf_counter()
             hit = opt.cached_response(token, the_plan, solve_sig, epoch)
             lookup_seconds = time.perf_counter() - start
@@ -343,21 +340,18 @@ class QueryService:
                          ) -> tuple[list[np.ndarray], int, str]:
         """Per-summary quantile estimates for a group scan.
 
-        On the batched route every moments-backed summary joins one
-        stacked max-entropy solve (``fit_estimators``); the solved
-        estimator is seeded back into the summary's cache so later
-        per-group ``quantile`` calls are free.  Summaries without a raw
-        sketch (non-moments aggregators) fall back to their own scalar
-        path.  Returns ``(estimates, solve_calls, solve_route)``.
+        Every moments-backed summary joins one stacked max-entropy
+        solve (``fit_estimators``); the solved estimator is seeded back
+        into the summary's cache so later per-group ``quantile`` calls
+        are free.  Summaries without a raw sketch (non-moments
+        aggregators) use their own ``quantiles``.  Returns
+        ``(estimates, solve_calls, solve_route)``.
         """
         qs = np.asarray(spec.quantiles, dtype=float)
-        if not self.batched:
-            return ([np.atleast_1d(self._estimates(spec, summary))
-                     for summary in summaries], len(summaries), "scalar")
         out: list = [None] * len(summaries)
-        # Fit with the config the scalar route would use: the summary's
-        # own config on the "auto" path (summary.quantiles), the
-        # service config for estimator="maxent" (matching _estimates).
+        # Fit with the config a single-summary query would use: the
+        # summary's own config on the "auto" path (summary.quantiles),
+        # the service config for estimator="maxent" (matching _estimates).
         # Distinct configs batch separately — in practice one group.
         by_config: dict[SolverConfig, list[int]] = {}
         for index, summary in enumerate(summaries):
@@ -460,52 +454,43 @@ class QueryService:
                             ) -> tuple[dict, dict, float, int, str]:
         """Cascade every group against every threshold (Eq. 3 counting).
 
-        On the batched route the whole group set runs through
+        Every moments-backed group runs through
         :meth:`ThresholdCascade.evaluate_batch` per threshold — the
         vectorized bound stages filter all cells at once and the
-        survivors share one batched max-entropy solve — with decisions
-        identical to the per-cell cascade.  Falls back to the scalar
-        loop when any group lacks a raw moments sketch.  Also returns
-        the number of solve/cascade invocations and the route that
-        actually ran (``"batched"``/``"scalar"``) for the timings.
+        survivors share one batched max-entropy solve.  Groups without a
+        raw moments sketch compare their own ``quantile`` estimate.
+        Also returns the number of cascade/estimate invocations and the
+        route (``"batched"`` when any group was cascaded, else
+        ``"scalar"``) for the timings.
         """
         cascade = ThresholdCascade(config=self.config,
                                    enabled_stages=spec.cascade_stages)
         q = spec.q
-        groups_payload: dict = {}
         counts = {qkey(t): 0 for t in spec.thresholds}
-        sketches = [sketch_of(summary) for summary in groups_map.values()]
-        if self.batched and groups_map and all(
-                sketch is not None for sketch in sketches):
-            route = "batched"
-            # One columnar gather serves every threshold's cascade pass.
-            block = ColumnarMoments.from_sketches(sketches)
-            groups_payload = {value: {} for value in groups_map}
-            for t in spec.thresholds:
-                outcomes = cascade.evaluate_batch(block, t, q)
-                for value, outcome in zip(groups_map, outcomes):
-                    groups_payload[value][qkey(t)] = {
-                        "exceeds": outcome.result, "stage": outcome.stage}
-                    if outcome.result:
-                        counts[qkey(t)] += 1
-            calls = len(spec.thresholds)
-        else:
-            route = "scalar"
-            for value, summary in groups_map.items():
-                sketch = sketch_of(summary)
-                outcomes = {}
-                for t in spec.thresholds:
-                    if sketch is not None:
-                        outcome = cascade.evaluate(sketch, t, q)
-                        exceeds, stage = outcome.result, outcome.stage
-                    else:
-                        exceeds = bool(summary.quantile(q) > t)
-                        stage = "estimate"
-                    outcomes[qkey(t)] = {"exceeds": exceeds, "stage": stage}
-                    if exceeds:
-                        counts[qkey(t)] += 1
-                groups_payload[value] = outcomes
-            calls = len(groups_map) * len(spec.thresholds)
+        groups_payload: dict = {value: {} for value in groups_map}
+        sketches = {value: sketch_of(summary)
+                    for value, summary in groups_map.items()}
+        stacked = [value for value, sketch in sketches.items()
+                   if sketch is not None]
+        others = [value for value, sketch in sketches.items() if sketch is None]
+        # One columnar gather serves every threshold's cascade pass.
+        if stacked:
+            block = ColumnarMoments.from_sketches(
+                [sketches[value] for value in stacked])
+        for t in spec.thresholds:
+            decided = []
+            if stacked:
+                decided = [(value, outcome.result, outcome.stage)
+                           for value, outcome in zip(
+                               stacked, cascade.evaluate_batch(block, t, q))]
+            decided += [(value, bool(groups_map[value].quantile(q) > t),
+                         "estimate") for value in others]
+            for value, exceeds, stage in decided:
+                groups_payload[value][qkey(t)] = {"exceeds": exceeds,
+                                                  "stage": stage}
+                counts[qkey(t)] += exceeds
+        calls = len(spec.thresholds) * (bool(stacked) + len(others))
+        route = "batched" if stacked else "scalar"
         estimates = {key: float(n) for key, n in counts.items()}
         return (estimates, groups_payload, estimates[qkey(spec.thresholds[0])],
                 calls, route)
@@ -523,7 +508,6 @@ class QueryService:
         start = time.perf_counter()
         top = None
         bounds = None
-        solve_route = "batched" if self.batched else "scalar"
         if spec.kind == "group_by":
             value = None
             estimates = None
@@ -566,11 +550,10 @@ class QueryService:
         group is moments-backed and there are more groups than ``n``,
         RTT rank bounds bracket each group's quantile and groups whose
         best case cannot beat the n-th worst case are discarded before
-        any max-entropy solve.  On the batched route the bracket
-        bisection runs all groups through :func:`rtt_bound_batch` per
-        step (identical brackets, so identical pruning) and the
-        surviving candidates share one batched solve.  Also returns the
-        solve-call count for the timings.
+        any max-entropy solve.  The bracket bisection runs all groups
+        through :func:`rtt_bound_batch` per step and the surviving
+        candidates share one batched solve.  Also returns the solve-call
+        count for the timings.
         """
         n = spec.n or 1
         q = spec.q
@@ -578,14 +561,9 @@ class QueryService:
                     for value, summary in groups_map.items()
                     if isinstance(summary, MomentsSummary)}
         if len(sketches) == len(groups_map) and len(groups_map) > n:
-            if self.batched:
-                lows, highs = _quantile_brackets_batch(
-                    list(sketches.values()), q)
-                brackets = {value: (lows[i], highs[i])
-                            for i, value in enumerate(sketches)}
-            else:
-                brackets = {value: _quantile_bracket(sketch, q, rtt_bound)
-                            for value, sketch in sketches.items()}
+            lows, highs = _quantile_brackets_batch(list(sketches.values()), q)
+            brackets = {value: (lows[i], highs[i])
+                        for i, value in enumerate(sketches)}
             floors = sorted((b[0] for b in brackets.values()), reverse=True)
             cutoff = floors[n - 1]
             candidates = [value for value, (lo, hi) in brackets.items()
@@ -625,13 +603,13 @@ class QueryService:
 
 def _quantile_brackets_batch(sketches: list, q: float
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.druid.engine._quantile_bracket` over cells.
+    """``[lower, upper]`` intervals guaranteed to contain each q-quantile.
 
-    Runs every group's bisection in lockstep, evaluating one
-    :func:`rtt_bound_batch` call per step over the still-undecided rows.
-    Each row probes exactly the midpoints the scalar bracket would, so
-    the returned ``[lower, upper]`` intervals — and therefore the top-n
-    pruning decisions — are identical.
+    Bisects on the threshold t: RTT rank bounds at the midpoint tell
+    whether a row's q-quantile must lie above or below it.  Every row's
+    bisection runs in lockstep, one :func:`rtt_bound_batch` call per
+    step over the still-undecided rows; a row stops when the bounds
+    cannot decide its midpoint, and its bracket is the outer interval.
     """
     moments = ColumnarMoments.from_sketches(sketches)
     lows = moments.mins.copy()

@@ -250,12 +250,10 @@ class QuerySpec:
         if kind is None:
             raise QueryError("a query spec needs a 'kind'")
         quantiles = payload.pop("quantiles", None)
-        # Accept the scalar aliases 'q' (canonical) and 'phi' (deprecated).
+        # Accept the scalar alias 'q'.
         if quantiles is None and "q" in payload:
             q = payload.pop("q")
             quantiles = q if isinstance(q, (list, tuple)) else [q]
-        if quantiles is None and "phi" in payload:
-            quantiles = [normalize_q(phi=payload.pop("phi"))]
         if quantiles is None:
             quantiles = [0.5]
         thresholds = payload.pop("thresholds", None)
@@ -296,7 +294,8 @@ class QueryTimings:
 
     ``solve_route`` records which estimation path ran the solve phase —
     ``"batched"`` (one stacked max-entropy solve across all groups),
-    ``"scalar"`` (one solve per group, and all single-summary solves),
+    ``"scalar"`` (single-summary solves, and per-group estimates of
+    summaries without a raw moments sketch),
     ``"bounds"`` (closed-form RTT/Markov bounds, the ``cdf`` kind),
     ``"window"`` (per-window sliding scans), or ``"cached"`` (no solve
     ran at all: the multi-query optimizer served a previously solved

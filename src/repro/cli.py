@@ -20,8 +20,7 @@ unified query API (:mod:`repro.api`): pass ``--spec`` with a
 :class:`~repro.api.QuerySpec` JSON document to run any spec against the
 sketch and emit the full :class:`~repro.api.QueryResponse` JSON;
 without ``--spec`` the flag-based invocations build the equivalent spec
-and emit the historical compact output.  ``--phi`` is a deprecated
-alias of ``--q``.
+and emit the historical compact output.
 
 Input files are one float per line (CSV with a single column); sketch
 files use the library's binary serialization.
@@ -33,7 +32,6 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,27 +58,16 @@ def _load_sketch(path: str) -> MomentsSketch:
     return MomentsSketch.from_bytes(Path(path).read_bytes())
 
 
-def _sketch_service(sketch: MomentsSketch,
-                    batched: bool = True) -> QueryService:
+def _sketch_service(sketch: MomentsSketch) -> QueryService:
     """A single-sketch query service (the CLI's one-cell backend)."""
     summary = MomentsSummary(k=sketch.k, track_log=sketch.track_log)
     summary.sketch = sketch
-    return QueryService(sketch=SummariesBackend([summary]), batched=batched)
+    return QueryService(sketch=SummariesBackend([summary]))
 
 
 def _quantile_args(args: argparse.Namespace, default: list[float]) -> list[float]:
-    """Resolve --q / deprecated --phi into quantile fractions."""
-    q = getattr(args, "q", None)
-    phi = getattr(args, "phi", None)
-    if phi is not None:
-        if q:
-            raise QueryError("pass either --q or the deprecated --phi, not both")
-        warnings.warn("the '--phi' flag is deprecated; use '--q'",
-                      DeprecationWarning, stacklevel=2)
-        return [float(v) for v in (phi if isinstance(phi, list) else [phi])]
-    if q:
-        return [float(v) for v in q]
-    return list(default)
+    """The --q quantile fractions, or ``default`` when none were given."""
+    return [float(v) for v in args.q] if args.q else list(default)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +94,7 @@ def cmd_merge(args: argparse.Namespace) -> dict:
 
 def cmd_query(args: argparse.Namespace) -> dict:
     sketch = _load_sketch(args.sketch)
-    service = _sketch_service(sketch, batched=args.batched)
+    service = _sketch_service(sketch)
     if args.spec:
         return service.execute(QuerySpec.from_json(args.spec)).to_dict()
     qs = _quantile_args(args, default=[0.5, 0.99])
@@ -119,7 +106,7 @@ def cmd_query(args: argparse.Namespace) -> dict:
 
 def cmd_threshold(args: argparse.Namespace) -> dict:
     sketch = _load_sketch(args.sketch)
-    service = _sketch_service(sketch, batched=args.batched)
+    service = _sketch_service(sketch)
     if args.spec:
         return service.execute(QuerySpec.from_json(args.spec)).to_dict()
     if args.t is None:
@@ -696,15 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("sketch")
     query.add_argument("--q", type=float, nargs="+", default=None,
                        help="target quantile fractions (default 0.5 0.99)")
-    query.add_argument("--phi", type=float, nargs="+", default=None,
-                       help="deprecated alias of --q")
     query.add_argument("--spec", default=None,
                        help="QuerySpec JSON; emits the full QueryResponse")
-    query.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="route group/threshold estimation through the "
-                            "batched max-entropy layer (--no-batched A/Bs "
-                            "the scalar per-group path)")
     query.set_defaults(handler=cmd_query)
 
     threshold = sketch_sub.add_parser("threshold",
@@ -714,15 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="threshold (required without --spec)")
     threshold.add_argument("--q", type=float, nargs="+", default=None,
                            help="quantile fraction (default 0.99)")
-    threshold.add_argument("--phi", type=float, default=None,
-                           help="deprecated alias of --q")
     threshold.add_argument("--spec", default=None,
                            help="QuerySpec JSON; emits the full QueryResponse")
-    threshold.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="route the cascade through the batched "
-                                "estimation layer (--no-batched A/Bs the "
-                                "scalar path)")
     threshold.set_defaults(handler=cmd_threshold)
 
     info = sketch_sub.add_parser("info", help="inspect a sketch file")

@@ -43,8 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-import functools
-
 from .chebyshev import (chebyshev_nodes, clenshaw_curtis_weights,
                         eval_chebyshev_series_stacked)
 from .errors import ConvergenceError
@@ -87,25 +85,48 @@ class BatchEstimationReport:
 # Stacked evaluation helpers
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
+#: Rows per block in the CDF construction; bounds the transient
+#: (rows, m, grid) basis and (rows, grid) tabulation arrays.
+_CDF_ROWS_PER_BLOCK = 16
+
+#: Chebyshev value tables by tabulation grid size (see below).
+_VALUE_TABLES: dict[int, np.ndarray] = {}
+
+
 def _chebyshev_value_table(grid_size: int, orders: int) -> np.ndarray:
-    """``T[k, j] = T_k(u_j)`` on the uniform tabulation grid, cached.
+    """``T[k, j] = T_k(u_j)`` for ``k < orders`` on the tabulation grid.
 
     The CDF tabulation evaluates each problem's antiderivative series on
     the same ``linspace(-1, 1, grid_size)`` grid; with the Chebyshev
     values precomputed once per grid, that evaluation collapses to one
     small matmul per problem instead of a length-L Clenshaw recurrence
-    over the full grid.
+    over the full grid.  The cached table only grows to the most orders
+    requested; the recurrence fills rows in order, so a grown table's
+    leading rows are bit-identical to the smaller one's.  The result
+    may hold more than ``orders`` rows.  Threads that grow the same
+    entry at once each return a table of their own and the last store
+    wins, so no lock is needed: any stored table is exact.
     """
+    table = _VALUE_TABLES.get(grid_size)
+    done = 0 if table is None else len(table)
+    if done >= orders:
+        return table
     u = np.clip(np.linspace(-1.0, 1.0, grid_size), -1.0, 1.0)
-    table = np.empty((orders, grid_size))
-    table[0] = 1.0
-    if orders > 1:
-        table[1] = u
-    for order in range(2, orders):
-        table[order] = 2.0 * u * table[order - 1] - table[order - 2]
-    table.setflags(write=False)
-    return table
+    grown = np.empty((orders, grid_size))
+    if table is not None:
+        grown[:done] = table
+    for order in range(done, orders):
+        if order == 0:
+            grown[0] = 1.0
+        elif order == 1:
+            grown[1] = u
+        else:
+            grown[order] = 2.0 * u * grown[order - 1] - grown[order - 2]
+    grown.setflags(write=False)
+    if len(_VALUE_TABLES) >= 8:
+        _VALUE_TABLES.clear()
+    _VALUE_TABLES[grid_size] = grown
+    return grown
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,9 +420,16 @@ def _attach_cdfs(pending: list, sketches: list, estimators: list,
     for entries in by_shape.values():
         group = [entry[1] for entry in entries]
         nodes = chebyshev_nodes(config.cdf_grid_size)
-        matrices = _basis_matrices_stacked(group, nodes)
         theta = np.stack([entry[2].theta for entry in entries])
-        density = np.exp(np.matmul(theta[:, None, :], matrices)[:, 0, :])
+        # The (rows, m, grid) basis block is built a slice of rows at a
+        # time: every row is independent, so the densities are the same,
+        # and the transient block stays a few MB however many rows.
+        density = np.empty((len(entries), nodes.size))
+        for start in range(0, len(entries), _CDF_ROWS_PER_BLOCK):
+            rows = slice(start, start + _CDF_ROWS_PER_BLOCK)
+            matrices = _basis_matrices_stacked(group[rows], nodes)
+            density[rows] = np.exp(
+                np.matmul(theta[rows, None, :], matrices)[:, 0, :])
         coeffs = dct(density, type=1, axis=-1) / config.cdf_grid_size
         coeffs[:, 0] *= 0.5
         coeffs[:, -1] *= 0.5
@@ -429,8 +457,11 @@ def _attach_cdfs(pending: list, sketches: list, estimators: list,
         anti_len = trim_len + 1
         anti_columns = np.arange(full + 1)
         anti = np.where(anti_columns[None, :] < anti_len[:, None], anti, 0.0)
-        lo = eval_chebyshev_series_stacked(anti, np.asarray(-1.0))
-        hi = eval_chebyshev_series_stacked(anti, np.asarray(1.0))
+        # Clenshaw over the longest row only: the zero columns past it
+        # would leave every row's recurrence state untouched.
+        width = int(anti_len.max())
+        lo = eval_chebyshev_series_stacked(anti[:, :width], np.asarray(-1.0))
+        hi = eval_chebyshev_series_stacked(anti[:, :width], np.asarray(1.0))
         scale = hi - lo
         degenerate = ~(hi > lo)
         by_grid: dict[tuple[int, int], list[int]] = {}
@@ -455,19 +486,22 @@ def _attach_cdfs(pending: list, sketches: list, estimators: list,
             # value table (per-slice, so each row is independent of its
             # batch-mates); agrees with the scalar Clenshaw evaluation to
             # ~1e-13 relative, far inside the 1e-6 estimate contract.
-            table = _chebyshev_value_table(grid_size, anti.shape[1])[:bucket]
-            raw = np.matmul(anti[rows][:, None, :bucket], table)[:, 0, :]
-            values = np.clip((raw - lo[rows, None]) / scale[rows, None],
-                             0.0, 1.0)
-            values = np.maximum.accumulate(values, axis=1)
-            for position, row in enumerate(rows):
-                index, basis, result, selection = entries[row]
-                estimators[index] = QuantileEstimator(
-                    sketch=sketches[index], basis=basis, result=result,
-                    selection=selection,
-                    _cdf_coeffs=anti[row, :int(anti_len[row])].copy(),
-                    _cdf_offset=float(lo[row]), _cdf_scale=float(scale[row]),
-                    _grid_u=grid, _grid_cdf=values[position].copy())
+            table = _chebyshev_value_table(grid_size, bucket)[:bucket]
+            for start in range(0, len(rows), _CDF_ROWS_PER_BLOCK):
+                block = rows[start:start + _CDF_ROWS_PER_BLOCK]
+                raw = np.matmul(anti[block][:, None, :bucket], table)[:, 0, :]
+                values = np.clip((raw - lo[block, None]) / scale[block, None],
+                                 0.0, 1.0)
+                values = np.maximum.accumulate(values, axis=1)
+                for position, row in enumerate(block):
+                    index, basis, result, selection = entries[row]
+                    estimators[index] = QuantileEstimator(
+                        sketch=sketches[index], basis=basis, result=result,
+                        selection=selection,
+                        _cdf_coeffs=anti[row, :int(anti_len[row])].copy(),
+                        _cdf_offset=float(lo[row]),
+                        _cdf_scale=float(scale[row]),
+                        _grid_u=grid, _grid_cdf=values[position].copy())
 
 
 def estimate_quantiles_batch(sketches, qs, config: SolverConfig | None = None,

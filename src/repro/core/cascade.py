@@ -116,19 +116,18 @@ class ThresholdCascade:
     # ------------------------------------------------------------------
 
     def threshold(self, sketch: MomentsSketch, t: float,
-                  q: float | None = None, *, phi: float | None = None) -> bool:
-        """Algorithm 2: is the q-quantile estimate greater than ``t``?
-
-        The ``phi=`` keyword is deprecated in favor of the canonical
-        ``q`` (see :func:`repro.core.params.normalize_q`).
-        """
-        return self.evaluate(sketch, t, normalize_q(q, phi)).result
+                  q: float | None = None) -> bool:
+        """Algorithm 2: is the q-quantile estimate greater than ``t``?"""
+        return self.evaluate(sketch, t, q).result
 
     def evaluate(self, sketch: MomentsSketch, t: float,
-                 q: float | None = None, *,
-                 phi: float | None = None) -> ThresholdOutcome:
-        """Like :meth:`threshold` but reports which stage decided."""
-        q = normalize_q(q, phi)
+                 q: float | None = None) -> ThresholdOutcome:
+        """Like :meth:`threshold` but reports which stage decided.
+
+        The per-cell cascade, for sketches that arrive one at a time;
+        :meth:`evaluate_batch` decides a whole cell set at once.
+        """
+        q = normalize_q(q)
         sketch.require_nonempty()
         self.stats.queries += 1
         target_rank = sketch.count * q
@@ -148,8 +147,8 @@ class ThresholdCascade:
         result = self._timed("maxent", self._maxent, sketch, t, q)
         return ThresholdOutcome(bool(result), "maxent")
 
-    def evaluate_batch(self, sketches, t: float, q: float | None = None, *,
-                       phi: float | None = None) -> list[ThresholdOutcome]:
+    def evaluate_batch(self, sketches, t: float,
+                       q: float | None = None) -> list[ThresholdOutcome]:
         """Run the cascade over a whole cell set with batched stages.
 
         ``sketches`` is a sequence of :class:`MomentsSketch` or a
@@ -167,7 +166,7 @@ class ThresholdCascade:
         and gated in CI.  Per-stage stats record the batched timings
         (one span per stage, not one per cell).
         """
-        q = normalize_q(q, phi)
+        q = normalize_q(q)
         if isinstance(sketches, ColumnarMoments):
             moments = sketches
             cells: list[MomentsSketch | None] = [None] * len(moments)

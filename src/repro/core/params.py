@@ -1,35 +1,22 @@
-"""Canonical query-parameter naming shared by every engine surface.
+"""Canonical quantile-fraction validation shared by every engine surface.
 
-Historically each layer spelled the quantile argument differently
-(``phi`` in the paper-facing modules, ``q`` in ad-hoc scripts).  The
-unified query API (:mod:`repro.api`) standardizes on ``q``; the legacy
-``phi=`` keyword keeps working on every public entry point but emits a
-:class:`DeprecationWarning` through :func:`normalize_q` so callers can
-migrate incrementally.
+Every public entry point takes the quantile fraction as ``q``; the
+fraction arrives from outside input (CLI flags, JSON specs, library
+calls), so :func:`normalize_q` resolves its default and checks that it
+lies in (0, 1) in one place.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from .errors import QueryError
 
 
-def normalize_q(q: float | None = None, phi: float | None = None,
-                default: float | None = None, stacklevel: int = 3) -> float:
-    """Resolve the canonical quantile fraction from ``q``/legacy ``phi``.
+def normalize_q(q: float | None = None, default: float | None = None) -> float:
+    """Resolve the quantile fraction ``q`` (or ``default`` when omitted).
 
-    Exactly one of ``q`` and ``phi`` may be given; ``phi`` triggers a
-    :class:`DeprecationWarning`.  When neither is given, ``default`` is
-    used (an error if there is no default).
+    Raises :class:`QueryError` when neither is given or the fraction is
+    outside (0, 1).
     """
-    if phi is not None:
-        if q is not None:
-            raise QueryError("pass either q or the deprecated phi, not both")
-        warnings.warn(
-            "the 'phi' keyword is deprecated; use 'q' (see repro.api.QuerySpec)",
-            DeprecationWarning, stacklevel=stacklevel)
-        q = phi
     if q is None:
         if default is None:
             raise QueryError("a quantile fraction q is required")

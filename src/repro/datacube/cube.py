@@ -303,18 +303,16 @@ class DataCube:
             "merge_seconds": merge_seconds, "route": "loop"}
 
     def quantile(self, q: float | None = None,
-                 filters: Mapping[str, object] | None = None, *,
-                 phi: float | None = None) -> float:
+                 filters: Mapping[str, object] | None = None) -> float:
         """Roll up matching cells and estimate a quantile (Eq. 2's plan).
 
         Shim over the unified query API: executes a ``quantile``
         :class:`~repro.api.QuerySpec` through
         :class:`~repro.api.QueryService`, so the packed/loop routing and
-        timing accounting are shared with every other entry point.  The
-        ``phi=`` keyword is deprecated in favor of ``q``.
+        timing accounting are shared with every other entry point.
         """
         from ..api import QuerySpec, QueryService
-        q = normalize_q(q, phi, default=0.5)
+        q = normalize_q(q, default=0.5)
         spec = QuerySpec(kind="quantile", quantiles=(q,),
                          filters=filters or {})
         return QueryService(cube=self).execute(spec).value
@@ -335,9 +333,8 @@ class DataCube:
         return CubeBackend(self).group_rollup(spec).groups
 
     def group_quantiles(self, dimension: str, q=None,
-                        filters: Mapping[str, object] | None = None, *,
-                        batched: bool = True,
-                        phi: float | None = None) -> dict[object, dict[str, float]]:
+                        filters: Mapping[str, object] | None = None
+                        ) -> dict[object, dict[str, float]]:
         """Finalized quantile estimates per group, solved in one call.
 
         Unlike :meth:`group_by` (which returns unsolved summaries), this
@@ -346,17 +343,16 @@ class DataCube:
         high-cardinality estimation phase is a single stacked Newton
         pass instead of one solve per group.  ``q`` may be a scalar or a
         sequence of quantile fractions; the result maps each group value
-        to ``{qkey(q): estimate}``.  ``batched=False`` A/Bs the scalar
-        per-group path.  The ``phi=`` keyword is deprecated.
+        to ``{qkey(q): estimate}``.
         """
         from ..api import QuerySpec, QueryService
         if q is None or isinstance(q, (int, float)):
-            qs = (normalize_q(q if q is None else float(q), phi, default=0.5),)
+            qs = (normalize_q(q, default=0.5),)
         else:
             qs = tuple(float(value) for value in q)
         spec = QuerySpec(kind="group_by", quantiles=qs,
                          group_dimension=dimension, filters=filters or {})
-        response = QueryService(cube=self, batched=batched).execute(spec)
+        response = QueryService(cube=self).execute(spec)
         return dict(response.groups or {})
 
     def _group_summaries(self, dimension: str,

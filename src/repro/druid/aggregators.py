@@ -101,15 +101,9 @@ class SummaryState(AggregatorState):
             raise QueryError("cannot merge summary state with non-summary state")
         self.summary.merge(other.summary)
 
-    def finalize(self, q: float | None = None, *, phi: float | None = None,
-                 **params) -> float:
-        """Finalization = quantile estimation (Druid "post-aggregation").
-
-        ``q`` is the canonical quantile keyword; ``phi=`` keeps working
-        at this public plug-in entry point but is deprecated
-        (:func:`repro.core.params.normalize_q`).
-        """
-        return self.summary.quantile(normalize_q(q, phi, default=0.5))
+    def finalize(self, q: float | None = None, **params) -> float:
+        """Finalization = quantile estimation (Druid "post-aggregation")."""
+        return self.summary.quantile(normalize_q(q, default=0.5))
 
     def copy(self) -> "SummaryState":
         return SummaryState(self.summary.copy())

@@ -82,9 +82,8 @@ class QueryResult:
     matching state, ``merge_seconds`` the merge fold, and
     ``finalize_seconds`` (alias ``solve_seconds``) the estimator solve
     — reported once per query, never summed per cell.  ``solve_route``
-    records which estimation path ran on kinds where both exist
-    (``"batched"``/``"scalar"``), so workload scripts can A/B the
-    batched estimation layer.
+    records which estimation path ran (see
+    :class:`~repro.api.QueryTimings`).
     """
 
     value: float
@@ -282,8 +281,7 @@ class DruidEngine:
 
     def query(self, aggregator: str, q: float | None = None,
               filters: Mapping[str, object] | None = None,
-              interval: tuple[float, float] | None = None, *,
-              phi: float | None = None) -> QueryResult:
+              interval: tuple[float, float] | None = None) -> QueryResult:
         """Scan matching cells, merge states, finalize (the Eq. 2 plan).
 
         Thin shim over the unified query API: builds a ``quantile``
@@ -291,11 +289,10 @@ class DruidEngine:
         :class:`~repro.api.QueryService`, so the packed vectorized path,
         the loop path, and all timing fields are exactly the ones every
         other entry point gets.  ``q`` reaches the aggregator's
-        ``finalize`` (quantile aggregators use it; ``sum`` ignores it);
-        the ``phi=`` keyword is deprecated.
+        ``finalize`` (quantile aggregators use it; ``sum`` ignores it).
         """
         from ..api import QuerySpec, QueryService
-        q = normalize_q(q, phi, default=0.5)
+        q = normalize_q(q, default=0.5)
         spec = QuerySpec(kind="quantile", quantiles=(q,), measure=aggregator,
                          filters=filters or {}, interval=interval)
         response = QueryService(druid=self).execute(spec)
@@ -396,19 +393,18 @@ class DruidEngine:
 
     def group_by(self, aggregator: str, dimension: str,
                  q: float | None = None,
-                 filters: Mapping[str, object] | None = None, *,
-                 phi: float | None = None) -> dict[object, float]:
+                 filters: Mapping[str, object] | None = None
+                 ) -> dict[object, float]:
         """Per-dimension-value finalized results (Druid groupBy query).
 
         Shim over the unified API's ``group_by`` kind: the per-segment
         packed reductions produce one merged sketch per group and the
         service then solves *all* groups with one batched max-entropy
         pass (``timings.solve_calls == 1``) instead of one Newton loop
-        per group.  The ``phi=`` keyword is deprecated in favor of
-        ``q``.
+        per group.
         """
         from ..api import QuerySpec, QueryService, qkey
-        q = normalize_q(q, phi, default=0.5)
+        q = normalize_q(q, default=0.5)
         spec = QuerySpec(kind="group_by", quantiles=(q,), measure=aggregator,
                          group_dimension=dimension, filters=filters or {})
         response = QueryService(druid=self).execute(spec)
@@ -419,45 +415,23 @@ class DruidEngine:
 
 def top_n_by_quantile(engine: DruidEngine, aggregator: str, dimension: str,
                       n: int, q: float | None = None,
-                      filters: Mapping[str, object] | None = None, *,
-                      phi: float | None = None) -> list[tuple[object, float]]:
+                      filters: Mapping[str, object] | None = None
+                      ) -> list[tuple[object, float]]:
     """Druid-style topN: the n dimension values with the largest q-quantile.
 
     Shim over the unified API's ``top_n`` kind, which keeps the
     bounds-before-estimates pruning (RTT rank-bound brackets discard
     groups that cannot make the list before any max-entropy solve — see
-    :meth:`repro.api.QueryService._top_n`) and, on the default batched
-    route, runs the bracket bisection and the surviving candidates'
-    solves as stacked vectorized passes with identical decisions.  The
-    ``phi=`` keyword is deprecated in favor of ``q``.
+    :meth:`repro.api.QueryService._top_n`), running the bracket
+    bisection and the surviving candidates' solves as stacked vectorized
+    passes.
 
     Returns (dimension value, quantile estimate) pairs, best first.
     """
     from ..api import QuerySpec, QueryService
-    q = normalize_q(q, phi, default=0.99)
+    q = normalize_q(q, default=0.99)
     spec = QuerySpec(kind="top_n", quantiles=(q,), measure=aggregator,
                      group_dimension=dimension, n=n, filters=filters or {})
     response = QueryService(druid=engine).execute(spec)
     return [(value, estimate) for value, estimate in (response.top or [])]
 
-
-def _quantile_bracket(sketch, q: float, bound_fn) -> tuple[float, float]:
-    """[lower, upper] interval guaranteed to contain the q-quantile.
-
-    Bisects on the threshold t: F(t) bounds from the moment inequalities
-    tell us whether the q-quantile must lie above or below t.
-    """
-    lo, hi = sketch.min, sketch.max
-    target = q * sketch.count
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        bounds = bound_fn(sketch, mid)
-        if bounds.upper < target:
-            lo = mid          # quantile certainly above mid
-        elif bounds.lower > target:
-            hi = mid          # quantile certainly below mid
-        else:
-            break             # undecidable: the bracket is [lo, hi]
-    # Conservative expansion: the undecided region around mid belongs to
-    # both sides, so return the outer bracket.
-    return lo, hi

@@ -10,8 +10,8 @@ Two execution strategies, matching Figure 14:
   counts subtract exactly, so sliding one pane costs one ``subtract`` plus
   one ``merge``.  The window's min/max are maintained from the per-pane
   extrema kept alongside each pane (min/max cannot be un-merged; the pane
-  deque makes the recomputation exact).  The cascade then screens windows
-  against the threshold.
+  deque makes the recomputation exact).  The cascade then screens all
+  windows against the threshold in one batched pass.
 * :func:`remerge_windows` — the strategy any non-subtractable summary is
   stuck with: re-merge all ``w`` panes at every slide (used for the
   Merge12 baseline bar).
@@ -129,58 +129,49 @@ class TurnstileWindowProcessor:
         return self.store.batch_merge(
             np.arange(position, position + self.window_panes))
 
-    def query(self, threshold: float, q: float | None = None, *,
-              phi: float | None = None) -> WindowQueryResult:
+    def query(self, threshold: float,
+              q: float | None = None) -> WindowQueryResult:
         """Find all windows with ``quantile(q) > threshold``.
 
-        The ``phi=`` keyword is deprecated in favor of ``q``.
+        Slides the window by sequential merge/subtract, keeping a copy
+        of every window sketch, then screens all windows with one
+        :meth:`~repro.core.cascade.ThresholdCascade.evaluate_batch`
+        pass: vectorized bound stages and one stacked solve for the
+        windows the bounds cannot decide.
         """
-        q = normalize_q(q, phi, default=0.99)
-        alerts: list[WindowAlert] = []
+        q = normalize_q(q, default=0.99)
         w = self.window_panes
-        merge_seconds = 0.0
-        estimation_seconds = 0.0
-
         start = time.perf_counter()
         window = self.rebuild_window(0)
-        merge_seconds += time.perf_counter() - start
-
-        position = 0
-        while True:
-            in_window = self.panes[position:position + w]
-            start = time.perf_counter()
-            outcome = self.cascade.evaluate(window, threshold, q)
-            estimation_seconds += time.perf_counter() - start
-            if outcome.result:
-                alerts.append(WindowAlert(start_pane=in_window[0].index,
-                                          end_pane=in_window[-1].index,
-                                          stage=outcome.stage))
-            if position + w >= len(self.panes):
-                break
-            start = time.perf_counter()
-            outgoing = self.panes[position]
-            incoming = self.panes[position + w]
+        windows = [window.copy()]
+        for position in range(len(self.panes) - w):
             surviving = self.panes[position + 1:position + w + 1]
-            window.merge(incoming.sketch)
-            window.subtract(outgoing.sketch,
+            window.merge(self.panes[position + w].sketch)
+            window.subtract(self.panes[position].sketch,
                             new_min=min(p.min for p in surviving),
                             new_max=max(p.max for p in surviving))
-            merge_seconds += time.perf_counter() - start
-            position += 1
+            windows.append(window.copy())
+        merge_seconds = time.perf_counter() - start
+
+        start = time.perf_counter()
+        outcomes = self.cascade.evaluate_batch(windows, threshold, q)
+        estimation_seconds = time.perf_counter() - start
+        alerts = [WindowAlert(start_pane=self.panes[position].index,
+                              end_pane=self.panes[position + w - 1].index,
+                              stage=outcome.stage)
+                  for position, outcome in enumerate(outcomes)
+                  if outcome.result]
         return WindowQueryResult(alerts=alerts,
-                                 windows_checked=len(self.panes) - w + 1,
+                                 windows_checked=len(windows),
                                  merge_seconds=merge_seconds,
                                  estimation_seconds=estimation_seconds)
 
 
 def remerge_windows(pane_summaries: Sequence[QuantileSummary], window_panes: int,
-                    threshold: float, q: float | None = None, *,
-                    phi: float | None = None) -> WindowQueryResult:
-    """Baseline for non-subtractable summaries: re-merge every window.
-
-    The ``phi=`` keyword is deprecated in favor of ``q``.
-    """
-    q = normalize_q(q, phi, default=0.99)
+                    threshold: float,
+                    q: float | None = None) -> WindowQueryResult:
+    """Baseline for non-subtractable summaries: re-merge every window."""
+    q = normalize_q(q, default=0.99)
     if len(pane_summaries) < window_panes:
         raise ValueError("not enough panes for one window")
     alerts: list[WindowAlert] = []
@@ -207,8 +198,8 @@ def remerge_windows(pane_summaries: Sequence[QuantileSummary], window_panes: int
 
 def remerge_windows_packed(panes: Sequence[Pane], window_panes: int,
                            threshold: float, q: float | None = None,
-                           config: SolverConfig | None = None, *,
-                           phi: float | None = None) -> WindowQueryResult:
+                           config: SolverConfig | None = None
+                           ) -> WindowQueryResult:
     """Re-merge strategy over a packed pane ring: one reduction per window.
 
     The same plan as :func:`remerge_windows` (re-merge all ``w`` panes at
@@ -216,10 +207,8 @@ def remerge_windows_packed(panes: Sequence[Pane], window_panes: int,
     with the pane ring packed columnar so each window's merge is a single
     ``batch_merge`` reduction.  Alerts match the loop-based re-merge
     exactly: the merged sketches are bit-for-bit identical.
-
-    The ``phi=`` keyword is deprecated in favor of ``q``.
     """
-    q = normalize_q(q, phi, default=0.99)
+    q = normalize_q(q, default=0.99)
     if window_panes < 1:
         raise ValueError("window must span at least one pane")
     if len(panes) < window_panes:

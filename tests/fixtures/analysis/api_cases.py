@@ -1,31 +1,14 @@
-"""API-hygiene fixtures: deprecated ``phi=`` call sites and the
-errors-taxonomy rule (the test config tags this module's public surface
-as taxonomy-bound)."""
+"""API-hygiene fixtures: the errors-taxonomy rule (the test config tags
+this module's public surface as taxonomy-bound)."""
 
 
 class QueryError(Exception):
     """Stand-in for the repro.core.errors taxonomy."""
 
 
-def old_style(sketch):
-    return sketch.quantile(phi=0.5)     # API001 (line 11)
-
-
-def new_style(sketch):
-    return sketch.quantile(q=0.5)       # ok: canonical keyword
-
-
-def normalize_q(q=None, phi=None):      # ok: def sites are never flagged
-    return q if q is not None else phi
-
-
-def funnel(q=None, phi=None):
-    return normalize_q(q, phi=phi)      # ok: the deprecation funnel itself
-
-
 def bad_raise(value):
     if value < 0:
-        raise ValueError("negative")    # API002 (line 28)
+        raise ValueError("negative")    # API002 (line 11)
     return value
 
 

@@ -109,6 +109,11 @@ class TestQuerySpec:
         with pytest.raises(QueryError):
             QuerySpec.from_dict({"kind": "quantile", "frobnicate": 1})
 
+    def test_from_dict_rejects_phi_key(self):
+        # 'q' is the only scalar spelling of the quantile fraction.
+        with pytest.raises(QueryError):
+            QuerySpec.from_dict({"kind": "quantile", "phi": 0.5})
+
     def test_qkey_distinguishes_close_floats(self):
         assert qkey(0.1234561) != qkey(0.1234562)
         assert qkey(0.5) == "0.5" and qkey(0.99) == "0.99"
@@ -122,15 +127,6 @@ class TestQuerySpec:
 
 
 class TestNormalizeQ:
-    def test_phi_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            assert normalize_q(phi=0.9) == 0.9
-
-    def test_q_and_phi_conflict(self):
-        with pytest.raises(QueryError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            normalize_q(q=0.5, phi=0.9)
-
     def test_default_applies(self):
         assert normalize_q(default=0.5) == 0.5
         with pytest.raises(QueryError):
@@ -369,12 +365,6 @@ class TestLegacyShims:
         assert cube.last_merge_count == ca_cells
         cube.quantile(0.5)
         assert cube.last_merge_count == cube.num_cells
-
-    def test_deprecated_phi_keyword_warns(self, cube, engine):
-        with pytest.warns(DeprecationWarning):
-            cube.quantile(phi=0.5)
-        with pytest.warns(DeprecationWarning):
-            engine.query("momentsSketch@10", phi=0.5)
 
     def test_canonical_q_keyword_is_silent(self, cube):
         with warnings.catch_warnings():

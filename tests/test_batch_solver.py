@@ -15,8 +15,6 @@ The layer's contract, asserted here:
 * the query service reports one batched solve (not one per cell).
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,25 +233,15 @@ class TestCascadeBatch:
                    for o in outcomes)
 
 
-class TestCascadeQRename:
-    def test_phi_keyword_deprecated(self):
-        sketch = MomentsSketch.from_data([1.0, 2.0, 3.0, 10.0], k=5)
-        cascade = ThresholdCascade(config=CONFIG)
-        with pytest.warns(DeprecationWarning):
-            legacy = cascade.threshold(sketch, 5.0, phi=0.9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            canonical = cascade.threshold(sketch, 5.0, 0.9)
-        assert legacy == canonical
+def fresh_estimates(groups, qs):
+    """Per-group scalar estimates from fresh summary copies.
 
-    def test_phi_and_q_together_rejected(self):
-        from repro.core.errors import QueryError
-        sketch = MomentsSketch.from_data([1.0, 2.0], k=4)
-        with pytest.raises(QueryError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ThresholdCascade(config=CONFIG).evaluate(
-                    sketch, 1.5, 0.5, phi=0.5)
+    The service seeds each solved summary's cached estimator, so reading
+    estimates back from the summaries it solved would compare the batch
+    with itself; a copy fits its own scalar estimator.
+    """
+    return {group: summary.copy().quantiles(qs)
+            for group, summary in groups.items()}
 
 
 class TestServiceBatchedRouting:
@@ -272,23 +260,24 @@ class TestServiceBatchedRouting:
         from repro.api import QueryService, QuerySpec, qkey
         spec = QuerySpec(kind="group_by", quantiles=(0.9,),
                          group_dimension="g")
-        batched = QueryService(cube=cube, batched=True).execute(spec)
-        scalar = QueryService(cube=cube, batched=False).execute(spec)
+        batched = QueryService(cube=cube).execute(spec)
         assert batched.timings.solve_route == "batched"
         assert batched.timings.solve_calls == 1
-        assert scalar.timings.solve_route == "scalar"
-        assert scalar.timings.solve_calls == len(scalar.groups)
-        for group, payload in scalar.groups.items():
+        scalar = fresh_estimates(cube.group_by("g"), [0.9])
+        assert set(batched.groups) == set(scalar)
+        for group, estimates in scalar.items():
             assert batched.groups[group][qkey(0.9)] == pytest.approx(
-                payload[qkey(0.9)], rel=1e-6)
+                estimates[0], rel=1e-6)
 
     def test_top_n_identical_and_single_solve(self, cube):
         from repro.api import QueryService, QuerySpec
         spec = QuerySpec(kind="top_n", quantiles=(0.99,), n=5,
                          group_dimension="g")
-        batched = QueryService(cube=cube, batched=True).execute(spec)
-        scalar = QueryService(cube=cube, batched=False).execute(spec)
-        assert [v for v, _ in batched.top] == [v for v, _ in scalar.top]
+        batched = QueryService(cube=cube).execute(spec)
+        scores = {group: estimates[0] for group, estimates
+                  in fresh_estimates(cube.group_by("g"), [0.99]).items()}
+        ranking = sorted(scores, key=scores.__getitem__, reverse=True)
+        assert [v for v, _ in batched.top] == ranking[:5]
         assert batched.timings.solve_calls == 1
 
     def test_threshold_count_identical(self, cube):
@@ -297,11 +286,14 @@ class TestServiceBatchedRouting:
         t = float(rollup.quantile(0.95))
         spec = QuerySpec(kind="threshold_count", quantiles=(0.99,),
                          thresholds=(t,), group_dimension="g")
-        batched = QueryService(cube=cube, batched=True).execute(spec)
-        scalar = QueryService(cube=cube, batched=False).execute(spec)
-        assert batched.value == scalar.value
-        assert {g: o[qkey(t)]["stage"] for g, o in batched.groups.items()} \
-            == {g: o[qkey(t)]["stage"] for g, o in scalar.groups.items()}
+        batched = QueryService(cube=cube).execute(spec)
+        cascade = ThresholdCascade(config=CONFIG)
+        scalar = {group: cascade.evaluate(summary.sketch, t, 0.99)
+                  for group, summary in cube.group_by("g").items()}
+        assert batched.value == sum(o.result for o in scalar.values())
+        assert {g: (o[qkey(t)]["exceeds"], o[qkey(t)]["stage"])
+                for g, o in batched.groups.items()} \
+            == {g: (o.result, o.stage) for g, o in scalar.items()}
         assert batched.timings.solve_calls == 1
 
     def test_top_n_maxent_over_non_moments_summaries(self):
@@ -317,9 +309,8 @@ class TestServiceBatchedRouting:
                       rng.lognormal(1.0, 1.0, 2000))
         spec = QuerySpec(kind="top_n", quantiles=(0.9,), n=3, measure="h",
                          group_dimension="d", estimator="maxent")
-        for batched in (True, False):
-            response = QueryService(druid=engine, batched=batched).execute(spec)
-            assert len(response.top) == 3
+        response = QueryService(druid=engine).execute(spec)
+        assert len(response.top) == 3
 
     def test_batched_respects_summary_config(self):
         # The batched fit must use each summary's own SolverConfig (like
@@ -334,14 +325,15 @@ class TestServiceBatchedRouting:
                                      config=coarse)
         spec = QuerySpec(kind="group_by", quantiles=(0.9,),
                          group_dimension="cell")
-        batched = QueryService(cells=backend, batched=True).execute(spec)
-        scalar = QueryService(cells=backend, batched=False).execute(spec)
-        for group, payload in scalar.groups.items():
+        batched = QueryService(cells=backend).execute(spec)
+        scalar = fresh_estimates(backend.group_rollup(spec).groups, [0.9])
+        assert set(batched.groups) == set(scalar)
+        for group, estimates in scalar.items():
             assert batched.groups[group][qkey(0.9)] == pytest.approx(
-                payload[qkey(0.9)], rel=1e-9)
+                estimates[0], rel=1e-9)
 
     def test_threshold_scalar_fallback_reports_scalar_route(self):
-        # Mixed/non-moments groups fall back to the per-cell cascade;
+        # Groups without a moments sketch compare their own estimates;
         # the timings must say so instead of claiming a batched solve.
         from repro.api import QueryService, QuerySpec
         from repro.druid import DruidEngine, registry
@@ -353,7 +345,7 @@ class TestServiceBatchedRouting:
                       rng.lognormal(1.0, 1.0, 1000))
         spec = QuerySpec(kind="threshold_count", quantiles=(0.99,),
                          thresholds=(5.0,), group_dimension="d", measure="h")
-        response = QueryService(druid=engine, batched=True).execute(spec)
+        response = QueryService(druid=engine).execute(spec)
         assert response.timings.solve_route == "scalar"
 
     def test_timings_round_trip_with_solve_route(self, cube):

@@ -76,48 +76,6 @@ class TestSketchCommands:
         assert result["decided_by"] == "simple"
         assert result["solve_route"] == "batched"
 
-    def test_threshold_batched_flag_ab(self, sketch_file, capsys):
-        """--batched/--no-batched A/B the estimation paths, same answer."""
-        code, batched = run_cli(capsys, "sketch", "threshold",
-                                str(sketch_file), "--t", "8.0", "--q", "0.99",
-                                "--batched")
-        assert code == 0 and batched["solve_route"] == "batched"
-        code, scalar = run_cli(capsys, "sketch", "threshold",
-                               str(sketch_file), "--t", "8.0", "--q", "0.99",
-                               "--no-batched")
-        assert code == 0 and scalar["solve_route"] == "scalar"
-        assert batched["exceeds"] == scalar["exceeds"]
-        assert batched["decided_by"] == scalar["decided_by"]
-
-    def test_query_no_batched_flag_same_answer(self, sketch_file, capsys):
-        code, on = run_cli(capsys, "sketch", "query", str(sketch_file),
-                           "--q", "0.9")
-        assert code == 0
-        code, off = run_cli(capsys, "sketch", "query", str(sketch_file),
-                            "--q", "0.9", "--no-batched")
-        assert code == 0
-        assert on["quantiles"]["0.9"] == pytest.approx(
-            off["quantiles"]["0.9"], rel=1e-6)
-
-    def test_query_q_flag_matches_phi(self, sketch_file, capsys):
-        code, via_q = run_cli(capsys, "sketch", "query", str(sketch_file),
-                              "--q", "0.5", "0.9")
-        assert code == 0
-        with pytest.warns(DeprecationWarning):
-            code, via_phi = run_cli(capsys, "sketch", "query",
-                                    str(sketch_file), "--phi", "0.5", "0.9")
-        assert code == 0
-        assert via_q == via_phi
-
-    def test_query_rejects_q_and_phi_together(self, sketch_file, capsys):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, result = run_cli(capsys, "sketch", "query",
-                                   str(sketch_file),
-                                   "--q", "0.5", "--phi", "0.9")
-        assert code == 1 and "error" in result
-
     def test_query_spec_emits_query_response(self, sketch_file, capsys):
         code, result = run_cli(
             capsys, "sketch", "query", str(sketch_file), "--spec",

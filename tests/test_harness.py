@@ -210,15 +210,17 @@ class TestQueryTimingsAlwaysFilled:
         return QueryService(cube=cube, window=panes), float(
             np.quantile(values, 0.9))
 
-    @pytest.mark.parametrize("batched", [True, False],
-                             ids=["batched", "scalar"])
-    def test_every_kind_reports_solve_route(self, service, batched):
+    # One quantile/threshold per query ("scalar") and several at once
+    # ("batched"): both shapes must fill the accounting on every kind.
+    @pytest.mark.parametrize("width", [2, 1], ids=["batched", "scalar"])
+    def test_every_kind_reports_solve_route(self, service, width):
         service_obj, t = service
-        service_obj.batched = batched
+        qs = (0.5, 0.99)[:width]
+        ts = (t, t * 2)[:width]
         specs = {
-            "quantile": QuerySpec(kind="quantile", quantiles=(0.5, 0.99)),
-            "cdf": QuerySpec(kind="cdf", thresholds=(t, t * 2)),
-            "group_by": QuerySpec(kind="group_by", quantiles=(0.5,),
+            "quantile": QuerySpec(kind="quantile", quantiles=qs),
+            "cdf": QuerySpec(kind="cdf", thresholds=ts),
+            "group_by": QuerySpec(kind="group_by", quantiles=qs,
                                   group_dimension="cell"),
             "top_n": QuerySpec(kind="top_n", quantiles=(0.9,),
                                group_dimension="cell", n=3),
@@ -229,8 +231,8 @@ class TestQueryTimingsAlwaysFilled:
         for kind, spec in specs.items():
             response = service_obj.execute(spec, backend="cube")
             timings = response.timings
-            assert timings.solve_route, (kind, batched)
-            assert timings.solve_calls > 0, (kind, batched)
+            assert timings.solve_route, (kind, width)
+            assert timings.solve_calls > 0, (kind, width)
 
     def test_scalar_quantile_route(self, service):
         service_obj, _ = service

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.cascade import STAGES, ThresholdCascade
 from repro.core.errors import QueryError
 from repro.macrobase import (
     MacroBaseEngine,
@@ -63,6 +64,29 @@ class TestMacroBaseQuery:
         report = engine.find_outlier_groups()
         assert report.cascade_stats is not None
         assert report.cascade_stats.queries == report.candidates_checked
+
+    def test_matches_per_group_cascade(self, anomalous_workload):
+        """The batched search decides every subgroup exactly as a
+        per-group ``evaluate`` would."""
+        dims, values = anomalous_workload
+        engine = MacroBaseEngine(MomentsCube.build(dims, values, k=10))
+        report = engine.find_outlier_groups(outlier_phi=0.99,
+                                            rate_multiplier=30.0)
+        group_phi = 1.0 - 30.0 * (1.0 - 0.99)
+        cascade = ThresholdCascade(config=engine.config)
+        expected = []
+        for (dim, value), sketch in engine._dimension_groups().items():
+            outcome = cascade.evaluate(sketch, report.threshold, group_phi)
+            if outcome.result:
+                expected.append((dim, value, outcome.stage))
+        assert expected
+        assert [(g.dimension, g.value, g.stage)
+                for g in report.groups] == expected
+        stats = report.cascade_stats.stages
+        assert {name: (stats[name].entered, stats[name].resolved)
+                for name in STAGES} == {
+            name: (cascade.stats.stages[name].entered,
+                   cascade.stats.stages[name].resolved) for name in STAGES}
 
     def test_invalid_rate_multiplier(self, anomalous_workload):
         dims, values = anomalous_workload

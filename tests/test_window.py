@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MomentsSketch
+from repro.core.cascade import STAGES, ThresholdCascade
 from repro.summaries import Merge12Summary, MomentsSummary
 from repro.window import (
     TurnstileWindowProcessor,
@@ -74,6 +75,45 @@ class TestTurnstile:
         for alert in result.alerts:
             covered = set(range(alert.start_pane, alert.end_pane + 1))
             assert covered & spike_set, f"false alarm at {alert}"
+
+    @pytest.mark.parametrize("threshold", [1500.0, 28.0])
+    def test_matches_per_window_cascade(self, spiked_stream, threshold):
+        """The batched scan decides every window exactly as a per-window
+        ``evaluate`` over the same sequentially slid window sketches.
+        t = 1500 alerts on the spikes; t = 28 sits near the unspiked
+        q99, so windows fall through to the max-entropy stage."""
+        values, pane_size, _ = spiked_stream
+        panes = build_panes(values, pane_size)
+        w = 24
+        processor = TurnstileWindowProcessor(panes, window_panes=w)
+        result = processor.query(threshold=threshold, q=0.99)
+
+        cascade = ThresholdCascade()
+        window = processor.rebuild_window(0)
+        expected = []
+        for position in range(len(panes) - w + 1):
+            if position:
+                surviving = panes[position:position + w]
+                window.merge(panes[position + w - 1].sketch)
+                window.subtract(panes[position - 1].sketch,
+                                new_min=min(p.min for p in surviving),
+                                new_max=max(p.max for p in surviving))
+            outcome = cascade.evaluate(window, threshold, 0.99)
+            if outcome.result:
+                expected.append((panes[position].index,
+                                 panes[position + w - 1].index, outcome.stage))
+        assert expected
+        assert [(a.start_pane, a.end_pane, a.stage)
+                for a in result.alerts] == expected
+        # Equal per-stage tallies: every window, alerting or not, was
+        # decided at the same stage.
+        stats = processor.cascade.stats.stages
+        assert {name: (stats[name].entered, stats[name].resolved)
+                for name in STAGES} == {
+            name: (cascade.stats.stages[name].entered,
+                   cascade.stats.stages[name].resolved) for name in STAGES}
+        if threshold < 100:
+            assert stats["maxent"].entered > 0
 
     def test_no_alerts_without_spikes(self):
         rng = np.random.default_rng(1)
